@@ -656,6 +656,7 @@ def _cmd_top(args) -> int:
     import time
 
     from .obs import MetricsRegistry, TelemetryCollector, render_dashboard
+    from .runtime.http import close_idle_connections
 
     if args.targets:
         addresses = {}
@@ -675,17 +676,22 @@ def _cmd_top(args) -> int:
     )
 
     async def watch() -> int:
-        while True:
-            await collector.scrape()
-            print(
-                "\x1b[2J\x1b[H"
-                + render_dashboard(collector, title="ARiA fleet (repro top)"),
-                end="",
-                flush=True,
-            )
-            if args.iterations and collector.rounds >= args.iterations:
-                return 0
-            await asyncio.sleep(args.interval)
+        try:
+            while True:
+                await collector.scrape()
+                print(
+                    "\x1b[2J\x1b[H"
+                    + render_dashboard(
+                        collector, title="ARiA fleet (repro top)"
+                    ),
+                    end="",
+                    flush=True,
+                )
+                if args.iterations and collector.rounds >= args.iterations:
+                    return 0
+                await asyncio.sleep(args.interval)
+        finally:
+            await close_idle_connections()
 
     try:
         return asyncio.run(watch())

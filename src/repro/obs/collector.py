@@ -23,8 +23,8 @@ The merge rules mirror what the samples mean:
   collector takes the max within each worker's nodes and sums the
   worker maxima (``group_of`` maps a node id to its group key; the
   default ``None`` keeps the old single-group behaviour);
-* a node whose scrape fails (connection refused, timeout, unparseable
-  page) contributes an ``up=False`` :class:`NodeSample` and bumps the
+* a node whose scrape fails (connection refused, timeout, a hang-up
+  mid-exchange, unparseable page) contributes an ``up=False`` :class:`NodeSample` and bumps the
   ``fleet.scrape_failures`` counter — a *crashed node is a data point*,
   never a collector crash.
 

@@ -83,7 +83,12 @@ from ..experiments.invariants_online import OnlineInvariantChecker
 from ..experiments.runner import _build_overlay
 from .clock import WallClock
 from .codec import encode_job
-from .http import HttpServer, http_get_json, http_post_json
+from .http import (
+    HttpServer,
+    close_idle_connections,
+    http_get_json,
+    http_post_json,
+)
 from .serve import _reliability_config
 from .transport import HEALTH_PATH, SUBMIT_PATH, LiveTransport
 
@@ -1262,6 +1267,7 @@ async def _run_procs(
             collector_task.cancel()
             await asyncio.gather(collector_task, return_exceptions=True)
         await coordinator.close()
+        await close_idle_connections()
 
     # ------------------------------------------------------------------
     # Evidence assembly: merge every boot's trace segments on the shared

@@ -34,14 +34,17 @@ latency model is configured (``transport.latency``, protocol seconds)
 the task sleeps the scaled wall delay first, which is how ``FaultPlan``
 delay spikes reach real sockets.  The sending handler never blocks on
 the network, mirroring the simulator's fire-and-forget sends.  A
-destination whose server cannot be reached before ``send_timeout``
-counts as ``lost``, exactly like a datagram into a dead link — which is
-also how a live *crashed* node manifests: its endpoint is torn down
-(:meth:`remove_endpoint`) while its directory entry goes stale, so
-in-flight traffic dies on connection refused.  Delivery to a node whose
-*handler* is unregistered (departed) still reaches its server and is
-dropped there with the usual ``dropped_detached`` / ``dropped_unknown``
-accounting.
+destination whose server cannot be reached before ``send_timeout``, or
+that hangs up mid-exchange, counts as ``lost`` — exactly like a
+datagram into a dead link, and never resent by the HTTP layer (POSTs
+ride pooled keep-alive connections, see :mod:`repro.runtime.http`).
+That is also how a live *crashed* node manifests: its endpoint is torn
+down (:meth:`remove_endpoint`) together with the connections it
+accepted, while its directory entry goes stale, so in-flight traffic
+dies on a closed pooled connection or on connection refused.  Delivery
+to a node whose *handler* is unregistered (departed) still reaches its
+server and is dropped there with the usual ``dropped_detached`` /
+``dropped_unknown`` accounting.
 
 Retries and acks for control-plane messages come from the standard
 :class:`~repro.net.ReliabilityLayer` attached on top — its timers run in
@@ -66,7 +69,12 @@ from ..obs.metrics import MetricsRegistry
 from ..net.traffic import TrafficMonitor
 from ..types import NodeId
 from .codec import decode_envelope, decode_job, encode_envelope
-from .http import HttpServer, http_get_json, http_post_json
+from .http import (
+    HttpServer,
+    close_idle_connections,
+    http_get_json,
+    http_post_json,
+)
 
 __all__ = [
     "LiveTransport",
@@ -414,12 +422,14 @@ class LiveTransport(Transport):
             await asyncio.gather(*tuple(self._tasks), return_exceptions=True)
 
     async def close(self) -> None:
-        """Shut down every endpoint server (after :meth:`drain`)."""
+        """Shut down every endpoint server (after :meth:`drain`) and the
+        loop's idle pooled client connections."""
         for server in self._servers.values():
             await server.close()
         self._servers.clear()
         self._health.clear()
         self._submit.clear()
+        await close_idle_connections()
 
     # ------------------------------------------------------------------
     # Server side
